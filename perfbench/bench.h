@@ -38,8 +38,8 @@ struct RunOpts
     uint64_t seed = 1;
     double seconds = 10;
     bool trace = false;
-    /** steady-clock seconds at which the benchmark process was
-     *  started (set by run.py); setup_s counts from here. */
+    /** steady-clock seconds at which the driver's main() began;
+     *  setup_s counts from here. */
     double t0 = 0;
     /** Self path, used to start the daemon process. */
     std::string self;
@@ -81,7 +81,7 @@ struct Result
 // Timing and statistics
 // ---------------------------------------------------------------------------
 
-/** steady_clock seconds (CLOCK_MONOTONIC, the clock run.py reads). */
+/** steady_clock seconds. */
 double now_s();
 
 /** Nearest-rank percentile, p in (0, 1]; 0 for an empty sample. */
@@ -191,6 +191,21 @@ std::string check_replay_digest(const ProcPtr& naive,
                                     script,
                                 uint64_t digest);
 
+/** Simulated cycles of the case's naive kernel at its tune sizes. */
+double naive_cycles(const KernelCase& c);
+
+/** `p` simulates to no more cycles than `naive` at the tune sizes. */
+std::string check_cost_not_worse(const KernelCase& c, double naive,
+                                 const ProcPtr& p);
+
+/** The tri-oracle validated the answer `what` names. */
+std::string check_validated(const std::string& what, bool validated);
+
+/** Repeating the same work gave the same proc (digests equal), or
+ *  there is no earlier result (`before` null). */
+std::string check_same_proc(const std::string& what, const ProcPtr& before,
+                            const ProcPtr& now);
+
 /** A warm op=tune reply: served from the cache, validated, with the
  *  script its set-up cold tune returned. */
 std::string check_warm_tune(const exo2::serve::ServeResponse& r,
@@ -242,10 +257,11 @@ class NativeTimer
 
 /** The checks every tune winner and every served schedule must pass:
  *  the script replays to `best`'s digest, `best` simulates to no more
- *  cycles than naive at the tune sizes, and natively (compiled into
- *  `timer`, which then times it) it matches the C++ reference at bench
- *  sizes. Failures are recorded in `res`. */
-void check_winner(Result* res, const KernelCase& c, const ProcPtr& best,
+ *  cycles than `naive` (the naive kernel's cycles at the tune sizes),
+ *  and natively (compiled into `timer`, which then times it) it matches
+ *  the C++ reference at bench sizes. Failures are recorded in `res`. */
+void check_winner(Result* res, const KernelCase& c, double naive,
+                  const ProcPtr& best,
                   const std::vector<exo2::tune::FuzzStep>& script,
                   NativeTimer* timer, uint64_t seed);
 

@@ -405,6 +405,37 @@ check_replay_digest(const ProcPtr& naive,
     return "";
 }
 
+double
+naive_cycles(const KernelCase& c)
+{
+    return simulate_cost_named(c.naive, c.tune_sizes).cycles;
+}
+
+std::string
+check_cost_not_worse(const KernelCase& c, double naive, const ProcPtr& p)
+{
+    double cost = simulate_cost_named(p, c.tune_sizes).cycles;
+    if (cost <= naive)
+        return "";
+    return c.name + ": schedule simulates to " + std::to_string(cost) +
+           " cycles, naive " + std::to_string(naive);
+}
+
+std::string
+check_validated(const std::string& what, bool validated)
+{
+    return validated ? "" : what + " not validated";
+}
+
+std::string
+check_same_proc(const std::string& what, const ProcPtr& before,
+                const ProcPtr& now)
+{
+    if (!before || proc_digest(before) == proc_digest(now))
+        return "";
+    return what + " differs between runs of the same work";
+}
+
 void
 NativeTimer::add(const KernelCase& c, const ProcPtr& p)
 {

@@ -175,43 +175,44 @@ run_library(const RunOpts& o)
             {"sched.gemm_ms", 0},   {"sched.halide_ms", 0},
             {"lint.proc_ms", 0},    {"codegen.emit_ms", 0}};
         double p0 = now_s();
-        {
-            EXO2_SPAN("bench.library_pass");
-            for (size_t i = 0; i < ks.size(); i++) {
-                const LibKernel& k = ks[i];
-                res.attempted++;
-                try {
-                    double t0 = now_s();
-                    ProcPtr s = k.schedule();
-                    double t1 = now_s();
-                    lint::LintReport rep = lint::lint_proc(s);
-                    double t2 = now_s();
-                    std::string c = codegen_c(s);
-                    double t3 = now_s();
-                    acc["sched." + k.group + "_ms"] += (t1 - t0) * 1e3;
-                    acc["lint.proc_ms"] += (t2 - t1) * 1e3;
-                    acc["codegen.emit_ms"] += (t3 - t2) * 1e3;
-                    if (timed)
-                        item_ms.push_back((t3 - t0) * 1e3);
-                    if (rep.has_errors())
-                        res.fail_check(k.name + ": Error-level lint "
-                                       "finding on the library "
-                                       "schedule:\n" + rep.to_text());
-                    if (c.empty())
-                        res.fail_check(k.name + ": empty C emitted");
-                    if (first.size() < ks.size())
-                        first.push_back(s);
-                    else if (first[i] &&
-                             proc_digest(first[i]) != proc_digest(s))
-                        res.fail_check(k.name + ": schedule differs "
-                                       "between passes");
-                } catch (const std::exception& e) {
-                    res.failed++;
-                    std::cerr << "perfbench: " << k.name << ": " << e.what()
-                              << "\n";
-                    if (first.size() < ks.size())
-                        first.push_back(nullptr);
+        for (size_t i = 0; i < ks.size(); i++) {
+            const LibKernel& k = ks[i];
+            res.attempted++;
+            try {
+                double t0 = now_s();
+                ProcPtr s = k.schedule();
+                double t1 = now_s();
+                lint::LintReport rep = lint::lint_proc(s);
+                double t2 = now_s();
+                std::string c = codegen_c(s);
+                double t3 = now_s();
+                acc["sched." + k.group + "_ms"] += (t1 - t0) * 1e3;
+                acc["lint.proc_ms"] += (t2 - t1) * 1e3;
+                acc["codegen.emit_ms"] += (t3 - t2) * 1e3;
+                if (timed)
+                    item_ms.push_back((t3 - t0) * 1e3);
+                if (rep.has_errors())
+                    res.fail_check(k.name + ": Error-level lint "
+                                   "finding on the library "
+                                   "schedule:\n" + rep.to_text());
+                if (timed)
+                    res.root_calls.push_back({"lint.proc", t2 - t1, ""});
+                if (c.empty())
+                    res.fail_check(k.name + ": empty C emitted");
+                if (first.size() < ks.size()) {
+                    first.push_back(s);
+                } else {
+                    std::string err =
+                        check_same_proc(k.name + ": schedule", first[i], s);
+                    if (!err.empty())
+                        res.fail_check(err);
                 }
+            } catch (const std::exception& e) {
+                res.failed++;
+                std::cerr << "perfbench: " << k.name << ": " << e.what()
+                          << "\n";
+                if (first.size() < ks.size())
+                    first.push_back(nullptr);
             }
         }
         double p1 = now_s();
@@ -229,7 +230,6 @@ run_library(const RunOpts& o)
             std::cerr << "perfbench: native timing: " << e.what() << "\n";
         }
         pass_s.push_back(p1 - p0);
-        res.root_calls.push_back({"bench.library_pass", p1 - p0, ""});
         for (const auto& [name, ms] : acc)
             layer_ms[name].push_back(ms);
         AnalysisMemoStats ms = analysis_memo_stats();

@@ -5,7 +5,6 @@
  * the result line into the benchmark's output.
  *
  *   exo2bench library|tune|serve --seed N --seconds S --trace 0|1
- *             [--t0 T]
  *   exo2bench selftest    plant a wrong answer for every check
  *   exo2bench daemon      the serve workload's daemon process
  *
@@ -89,7 +88,7 @@ int
 usage()
 {
     std::cerr << "usage: exo2bench library|tune|serve --seed N --seconds S "
-                 "--trace 0|1 [--t0 T]\n"
+                 "--trace 0|1\n"
                  "       exo2bench selftest | daemon\n";
     return 2;
 }
@@ -107,6 +106,8 @@ main(int argc, char** argv)
     if (cmd == "selftest")
         return perfbench::selftest_main();
 
+    // setup_s counts from here: the few milliseconds of exec and
+    // dynamic loading before main() vary more than they weigh.
     perfbench::RunOpts o;
     o.t0 = perfbench::now_s();
     for (int i = 2; i + 1 < argc; i += 2) {
@@ -117,8 +118,6 @@ main(int argc, char** argv)
             o.seconds = std::atof(v.c_str());
         else if (k == "--trace")
             o.trace = v == "1";
-        else if (k == "--t0")
-            o.t0 = std::atof(v.c_str());
         else
             return usage();
     }

@@ -3,7 +3,8 @@
  * `exo2bench selftest`: the benchmark's own tests. For each
  * correctness check, the unmodified answer must pass and a planted
  * wrong answer (a perturbed output element, a dropped script step, a
- * wrong digest, an inconsistent timing) must fail. A check that
+ * wrong digest, a costlier schedule, an unvalidated reply, an
+ * inconsistent timing) must fail. A check that
  * cannot fail shows nothing.
  */
 
@@ -13,6 +14,7 @@
 #include "src/cache/cache.h"
 #include "src/frontend/parser.h"
 #include "src/lint/lint.h"
+#include "src/machine/cost_sim.h"
 #include "src/verify/fuzz.h"
 
 namespace perfbench {
@@ -108,6 +110,20 @@ def saxpy_fencepost(n: size, a: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     expect("replay: wrong digest", check_replay_digest(c.naive, r.script, d),
            check_replay_digest(c.naive, r.script, d + 1));
 
+    // The winner's cost: the naive kernel is costlier than the winner,
+    // so it fails when the winner's cost is taken as the baseline.
+    double naive = naive_cycles(c);
+    double best = simulate_cost_named(r.best, c.tune_sizes).cycles;
+    expect("cost: schedule costlier than naive",
+           check_cost_not_worse(c, naive, r.best),
+           check_cost_not_worse(c, best, c.naive));
+    expect("tune: winner not validated",
+           check_validated("winner", r.validated),
+           check_validated("winner", false));
+    expect("determinism: a different proc on repeating the same work",
+           check_same_proc("winner", r.best, r.best),
+           check_same_proc("winner", r.best, c.naive));
+
     // Daemon replies.
     serve::ServeResponse warm;
     warm.status = "ok";
@@ -129,6 +145,11 @@ def saxpy_fencepost(n: size, a: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     expect("serve: warm tune not from the cache",
            check_warm_tune(warm, setup_script),
            check_warm_tune(bad, setup_script));
+    bad = warm;
+    bad.validated = false;
+    expect("serve: warm tune not validated",
+           check_warm_tune(warm, setup_script),
+           check_warm_tune(bad, setup_script));
 
     serve::ServeResponse sched = warm;
     std::string hex = cache::hex64(d);
@@ -136,6 +157,10 @@ def saxpy_fencepost(n: size, a: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     expect("serve: schedule reply with a wrong digest",
            check_schedule_reply(sched, hex),
            check_schedule_reply(sched, cache::hex64(d + 1)));
+    bad = sched;
+    bad.validated = false;
+    expect("serve: schedule reply not validated",
+           check_schedule_reply(sched, hex), check_schedule_reply(bad, hex));
 
     bad = warm;
     bad.extra["phase_validate_ms"] = "9.000";

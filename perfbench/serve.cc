@@ -50,6 +50,18 @@ const char* kDaemonTrace = "daemon_trace.json";
  *  requests, so that ten or more lie beyond p95. */
 constexpr long kMinRequests = 200;
 
+/** The request mix, per kernel and round. A warm op=tune is the set-up
+ *  cold tune sent again (cache probe, replay, re-simulation, tri-oracle
+ *  revalidation): a build script or tuning client asking for a kernel
+ *  it has asked for before. An op=schedule with validate=1 submits the
+ *  kernel's full set-up winner script (replay, admission lint, cost,
+ *  validation): a caller checking a schedule it already holds. No
+ *  measured caller traffic gives a ratio between the two, so they are
+ *  weighted equally; this is an assumption (see README.md). The counts
+ *  are fixed, so the mix is the same whatever the tuner returns. */
+constexpr int kWarmTunesPerKernel = 1;
+constexpr int kSchedulesPerKernel = 1;
+
 volatile sig_atomic_t g_trace_requested = 0;
 volatile sig_atomic_t g_stop = 0;
 
@@ -105,7 +117,6 @@ struct Planned
 {
     size_t kernel;
     serve::ServeRequest req;
-    size_t prefix = 0;  ///< op=schedule: script steps sent
 };
 
 struct Sample
@@ -255,9 +266,7 @@ check_warm_tune(const serve::ServeResponse& r, const std::string& setup_script)
         return "warm tune not served from the cache";
     if (r.script != setup_script)
         return "warm tune script differs from its set-up cold tune";
-    if (!r.validated)
-        return "warm tune not validated";
-    return "";
+    return check_validated("warm tune", r.validated);
 }
 
 std::string
@@ -266,9 +275,7 @@ check_schedule_reply(const serve::ServeResponse& r, const std::string& want_hex)
     auto it = r.extra.find("digest");
     if (it == r.extra.end() || it->second != want_hex)
         return "digest differs from an in-process replay";
-    if (!r.validated)
-        return "schedule not validated";
-    return "";
+    return check_validated("schedule", r.validated);
 }
 
 std::string
@@ -378,29 +385,19 @@ run_serve(const RunOpts& o)
         }
     }
     // -- The request mix ---------------------------------------------------
-    // One round holds, for every kernel and every prefix length of its
-    // set-up winner script, one validated op=schedule of that prefix
-    // and one warm op=tune: the same requests for every seed, which
-    // only chooses their order in each round (see Dispenser).
+    // The same requests for every seed, which only chooses their order
+    // in each round (see Dispenser).
     std::vector<Planned> plan;
     for (size_t k = 0; k < cs.size(); k++) {
-        const std::vector<tune::FuzzStep>& s = script[k];
-        for (size_t len = 1; len <= std::max<size_t>(s.size(), 1); len++) {
-            Planned t;
-            t.kernel = k;
-            t.req = tune_request(cs[k]);
-            plan.push_back(t);
-            if (s.empty())
-                continue;
-            Planned p;
-            p.kernel = k;
-            p.prefix = len;
+        for (int j = 0; j < kWarmTunesPerKernel; j++)
+            plan.push_back({k, tune_request(cs[k])});
+        for (int j = 0; j < kSchedulesPerKernel; j++) {
+            Planned p{k, {}};
             p.req.op = "schedule";
             p.req.kernel = cs[k].name;
             p.req.sizes = sizes_text(cs[k].tune_sizes);
             p.req.validate = 1;
-            p.req.script = verify::script_to_string(
-                std::vector<tune::FuzzStep>(s.begin(), s.begin() + len));
+            p.req.script = script_text[k];
             plan.push_back(p);
         }
     }
@@ -490,16 +487,10 @@ run_serve(const RunOpts& o)
         res.trace_files.push_back(kDaemonTrace);
 
     // -- Checks on every reply ------------------------------------------
-    std::vector<std::string> want_digest(plan.size());
-    for (size_t j = 0; j < plan.size(); j++) {
-        if (plan[j].req.op != "schedule")
-            continue;
-        const KernelCase& c = cs[plan[j].kernel];
-        const auto& s = script[plan[j].kernel];
-        want_digest[j] = cache::hex64(proc_digest(tune::replay_script(
-            c.naive, std::vector<tune::FuzzStep>(
-                         s.begin(), s.begin() + plan[j].prefix))));
-    }
+    std::vector<std::string> want_digest(cs.size());
+    for (size_t k = 0; k < cs.size(); k++)
+        want_digest[k] = cache::hex64(
+            proc_digest(tune::replay_script(cs[k].naive, script[k])));
     std::vector<double> lat, transport, unattributed, ph_cache, ph_validate,
         ph_lint;
     for (const auto& samples : per_client) {
@@ -522,7 +513,7 @@ run_serve(const RunOpts& o)
                 ph_cache.push_back(extra_ms(r, "phase_cache_ms"));
                 ph_validate.push_back(extra_ms(r, "phase_validate_ms"));
             } else {
-                err = check_schedule_reply(r, want_digest[s.plan_index]);
+                err = check_schedule_reply(r, want_digest[p.kernel]);
                 ph_lint.push_back(extra_ms(r, "phase_lint_ms"));
             }
             if (err.empty())
@@ -547,7 +538,8 @@ run_serve(const RunOpts& o)
         res.attempted++;
         try {
             ProcPtr best = tune::replay_script(cs[i].naive, script[i]);
-            check_winner(&res, cs[i], best, script[i], &timer, o.seed);
+            check_winner(&res, cs[i], naive_cycles(cs[i]), best, script[i],
+                         &timer, o.seed);
         } catch (const std::exception& e) {
             res.failed++;
             std::cerr << "perfbench: served " << cs[i].name << ": "

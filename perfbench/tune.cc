@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench.h"
-#include "src/machine/cost_sim.h"
 #include "src/obs/trace.h"
 
 namespace perfbench {
@@ -17,22 +16,19 @@ namespace perfbench {
 using namespace exo2;
 
 void
-check_winner(Result* res, const KernelCase& c, const ProcPtr& best,
-             const std::vector<tune::FuzzStep>& script, NativeTimer* timer,
-             uint64_t seed)
+check_winner(Result* res, const KernelCase& c, double naive,
+             const ProcPtr& best, const std::vector<tune::FuzzStep>& script,
+             NativeTimer* timer, uint64_t seed)
 {
-    std::string err = check_replay_digest(c.naive, script, proc_digest(best));
-    if (!err.empty())
-        res->fail_check(err);
-    ProcPtr replayed = tune::replay_script(c.naive, script);
-    double cost = simulate_cost_named(replayed, c.tune_sizes).cycles;
-    double naive = simulate_cost_named(c.naive, c.tune_sizes).cycles;
-    if (!(cost <= naive))
-        res->fail_check(c.name + ": winner simulates to " +
-                        std::to_string(cost) + " cycles, naive " +
-                        std::to_string(naive));
+    for (const std::string& err :
+         {check_replay_digest(c.naive, script, proc_digest(best)),
+          check_cost_not_worse(c, naive,
+                               tune::replay_script(c.naive, script))}) {
+        if (!err.empty())
+            res->fail_check(err);
+    }
     timer->add(c, best);
-    err = timer->check(timer->size() - 1, seed);
+    std::string err = timer->check(timer->size() - 1, seed);
     if (!err.empty())
         res->fail_check(err);
 }
@@ -41,8 +37,13 @@ Result
 run_tune(const RunOpts& o)
 {
     Result res;
+    // Set-up: build the kernel cases and simulate each naive kernel at
+    // its tune sizes, cold (the baseline check_winner compares with).
     const std::vector<KernelCase>& cs = kernel_cases();
     const Machine& m = machine_avx2();
+    std::vector<double> naive(cs.size());
+    for (size_t i = 0; i < cs.size(); i++)
+        naive[i] = naive_cycles(cs[i]);
     res.put("setup_s", now_s() - o.t0, "s");
     if (o.trace)
         obs::trace_start();
@@ -69,12 +70,13 @@ run_tune(const RunOpts& o)
                 scored += r.stats.states_scored;
                 hits += r.stats.cost_cache_hits;
                 misses += r.stats.cost_cache_misses;
-                if (!r.validated)
-                    res.fail_check(c.name + ": winner not validated");
-                if (winners[i].best &&
-                    proc_digest(winners[i].best) != proc_digest(r.best))
-                    res.fail_check(c.name + ": winner differs between "
-                                   "rounds");
+                for (const std::string& err :
+                     {check_validated(c.name + ": winner", r.validated),
+                      check_same_proc(c.name + ": winner", winners[i].best,
+                                      r.best)}) {
+                    if (!err.empty())
+                        res.fail_check(err);
+                }
                 winners[i] = std::move(r);
             } catch (const std::exception& e) {
                 res.failed++;
@@ -103,8 +105,8 @@ run_tune(const RunOpts& o)
             continue;
         res.attempted++;
         try {
-            check_winner(&res, c, winners[i].best, winners[i].script, &timer,
-                         o.seed);
+            check_winner(&res, c, naive[i], winners[i].best,
+                         winners[i].script, &timer, o.seed);
             std::cerr << "perfbench: tuned " << c.name << ": "
                       << verify::script_to_string(winners[i].script)
                       << "\n";
